@@ -5,7 +5,7 @@ PYTHON      ?= python
 PYTHONPATH  := src
 export PYTHONPATH
 
-.PHONY: test coverage lint lint-invariants bench-smoke bench-stream bench-batch bench-service bench-sessions bench-scale serve-smoke session-smoke obs-smoke scale-smoke bench docs-check check
+.PHONY: test coverage lint lint-invariants examples-smoke bench-smoke bench-stream bench-batch bench-service bench-sessions bench-scale serve-smoke session-smoke obs-smoke scale-smoke bench docs-check check
 
 ## Full test suite (tier-1 gate; fast).
 test:
@@ -49,6 +49,19 @@ lint: lint-invariants
 	@$(PYTHON) -c "import mypy" 2>/dev/null || \
 		{ echo "mypy is not installed: pip install mypy"; exit 1; }
 	$(PYTHON) -m mypy --strict src/repro/engine src/repro/service src/repro/obs src/repro/batch src/repro/lintkit
+
+## Run every example that needs no server end to end (the server tours
+## are serve-smoke, session-smoke, scale-smoke and obs-smoke), so a
+## change that breaks one fails here.
+EXAMPLES_SMOKE := quickstart anomaly_detection trend_detection \
+	emerging_communities streaming_events batch_queries custom_backend
+
+examples-smoke:
+	@set -e; for example in $(EXAMPLES_SMOKE); do \
+		echo "== examples/$$example.py"; \
+		$(PYTHON) examples/$$example.py > /dev/null; \
+	done
+	@echo "examples OK"
 
 ## Scalability + streaming + batch + service + session gates:
 ## sparse-vs-python backend speedup (>= 5x at the largest planted
@@ -127,4 +140,4 @@ docs-check:
 	@echo "README + example doctests OK"
 
 ## Everything a PR should pass.
-check: test docs-check bench-smoke
+check: test docs-check examples-smoke bench-smoke

@@ -9,7 +9,7 @@ Three measurements on a planted-burst event workload sweep:
 
 1. **Exact-policy speedup**: the incremental engine (``policy="exact"``,
    answer-faithful solve scheduling) against :func:`snapshot_recompute`
-   (the ContrastMonitor loop: materialise the snapshot, rebuild the
+   (the full-rebuild reference: materialise the snapshot, rebuild the
    window mean, rebuild the difference graph, full solve — every step).
    Gated at >= 3x at the largest event count, with identical alert sets
    and per-step scores.

@@ -1,7 +1,7 @@
 """Serve DCS anomaly alerts over a live event stream, incrementally.
 
-The event-native upgrade of ``streaming_monitor.py``: instead of
-handing the monitor a full snapshot per step, the network emits sparse
+Extends the paper's anomaly application (Section I) to a temporal loop:
+instead of rebuilding a full snapshot per step, the network emits sparse
 ``EdgeEvent`` observations and the incremental engine maintains the
 expectation window, the difference graph, and the DCS answer by deltas.
 The script runs the engine and the naive per-step snapshot recompute on

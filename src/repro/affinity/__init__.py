@@ -7,12 +7,6 @@ including its expansion errors — faithful to [18] rather than to the
 paper's improved SEACD.
 """
 
-from repro.affinity.dominant_sets import (
-    DominantSet,
-    cluster_assignment,
-    dominant_set_clustering,
-    extract_dominant_set,
-)
 from repro.affinity.replicator import (
     ConvergenceRule,
     ReplicatorResult,
@@ -21,10 +15,6 @@ from repro.affinity.replicator import (
 from repro.affinity.sea import SEAResult, SEAStats, sea, sea_refine_solver
 
 __all__ = [
-    "DominantSet",
-    "extract_dominant_set",
-    "dominant_set_clustering",
-    "cluster_assignment",
     "ConvergenceRule",
     "ReplicatorResult",
     "replicator_dynamics",

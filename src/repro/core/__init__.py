@@ -25,7 +25,6 @@ from repro.core.dcsad import (
     greedy_on_gd_only,
     greedy_on_gd_plus_only,
 )
-from repro.core.monitor import ContrastAlert, ContrastMonitor, mean_graph
 from repro.core.difference import (
     DBLP_DISCRETE,
     DifferenceStats,
@@ -128,10 +127,6 @@ __all__ = [
     "KKTReport",
     "check_kkt",
     "is_kkt_point",
-    # temporal monitoring
-    "ContrastMonitor",
-    "ContrastAlert",
-    "mean_graph",
     # top-k extension
     "RankedDCS",
     "coverage",

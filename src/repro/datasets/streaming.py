@@ -1,7 +1,6 @@
 """Planted-burst *event* workloads for the streaming DCS engine.
 
-The event-native sibling of :mod:`repro.datasets.temporal`: instead of
-re-materialising every snapshot, the generator emits the
+Instead of re-materialising every snapshot, the generator emits the
 :class:`~repro.stream.events.EdgeEvent` stream a live network would —
 a full observation of the base topology at step 0, sparse noisy
 re-observations afterwards (most of the network is *quiet* most of the
@@ -46,9 +45,9 @@ class EventStream:
     def snapshots(self) -> List[Graph]:
         """Replay the events into per-step snapshot graphs (O(steps * m)).
 
-        The materialised equivalent of the stream — what a snapshot
-        consumer (:class:`repro.core.monitor.ContrastMonitor`) would
-        see.  Used by parity tests; the engine never needs this.
+        The materialised equivalent of the stream — what the full-rebuild
+        reference :func:`repro.stream.engine.snapshot_recompute` builds
+        step by step.  Used by parity tests; the engine never needs this.
         """
         state = Graph()
         state.add_vertices(self.universe)

@@ -26,7 +26,7 @@ implement).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional
+from typing import TYPE_CHECKING, Dict, Iterable, Optional
 
 from repro.engine.registry import SolverBackend, register_backend
 
@@ -167,11 +167,6 @@ class PythonBackend(SolverBackend):
         from repro.affinity.replicator import _replicator_python
 
         return _replicator_python(graph, x0, rule, tol, max_iterations)
-
-    def mean_graph(self, graphs: List["Graph"]) -> "Graph":
-        from repro.core.monitor import _mean_graph_python
-
-        return _mean_graph_python(graphs)
 
 
 class SegmentTreeBackend(SolverBackend):
@@ -348,11 +343,6 @@ class SparseBackend(SolverBackend):
         from repro.affinity.replicator import _replicator_sparse
 
         return _replicator_sparse(graph, x0, rule, tol, max_iterations)
-
-    def mean_graph(self, graphs: List["Graph"]) -> "Graph":
-        from repro.core.monitor import _mean_graph_sparse
-
-        return _mean_graph_sparse(graphs)
 
 
 class NativeBackend(SparseBackend):
@@ -566,8 +556,8 @@ class NativeBackend(SparseBackend):
             graph, x0, rule=rule, tol=tol, max_iterations=max_iterations
         )
 
-    # initialization_plan and mean_graph are inherited from SparseBackend
-    # verbatim: already vectorised one-pass code with nothing to compile.
+    # initialization_plan is inherited from SparseBackend verbatim:
+    # already vectorised one-pass code with nothing to compile.
 
 
 #: The instances the package registers on import.

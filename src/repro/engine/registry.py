@@ -8,7 +8,7 @@ double) meant editing ten call sites.  Now a backend is an object:
 * subclass :class:`SolverBackend` and override the capabilities you
   provide (``peel``, ``shrink``/``expand`` — the coordinate-descent
   stages — ``seacd``, ``refine``, ``new_sea``, ``vertex_solver``,
-  ``initialization_plan``, ``replicator``, ``mean_graph``);
+  ``initialization_plan``, ``replicator``);
 * call :func:`register_backend` with a name (and optional aliases);
 * every layer — core solvers, CLI, batch service, streaming engine —
   immediately accepts the new name.
@@ -34,7 +34,7 @@ package ``__init__`` guarantees.
 from __future__ import annotations
 
 import warnings
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Set, Tuple, Union
+from typing import TYPE_CHECKING, Dict, Iterable, Optional, Set, Tuple, Union
 
 from repro.exceptions import (
     BackendCapabilityError,
@@ -59,7 +59,7 @@ if TYPE_CHECKING:  # pragma: no cover - type-only imports (no cycles at runtime)
 from typing import Literal
 
 #: The solver-backend vocabulary shared by every layer that solves
-#: (monitor, stream, batch, CLI).  Peeling additionally accepts the
+#: (stream, batch, service, CLI).  Peeling additionally accepts the
 #: priority-structure names of :data:`PeelBackend`.
 Backend = Literal["python", "sparse"]
 #: Peeling accepts the two pure-Python priority structures by name.
@@ -225,10 +225,6 @@ class SolverBackend:
     ) -> "ReplicatorResult":
         """Replicator dynamics (the original SEA's shrink stage)."""
         raise BackendCapabilityError(self.name, "replicator")
-
-    def mean_graph(self, graphs: List["Graph"]) -> "Graph":
-        """Edge-wise mean over the union vertex set (monitor windows)."""
-        raise BackendCapabilityError(self.name, "mean_graph")
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} name={self.name!r}>"

@@ -7,12 +7,10 @@ Built from scratch because the paper's baseline landscape relies on
 
 from repro.flow.dinic import FlowNetwork, max_flow, min_cut_side, min_st_cut_value
 from repro.flow.goldberg import densest_subgraph, max_density_value
-from repro.flow.push_relabel import max_flow_push_relabel
 
 __all__ = [
     "FlowNetwork",
     "max_flow",
-    "max_flow_push_relabel",
     "min_cut_side",
     "min_st_cut_value",
     "densest_subgraph",

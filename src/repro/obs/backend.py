@@ -6,10 +6,10 @@ Every solver capability call in the library flows through
 the resolved backend wrapped in a :class:`TracingBackend`: each
 capability call (``peel``, ``shrink``, ``expand``, ``seacd``,
 ``refine``, ``new_sea``, ``initialization_plan``, ``replicator``,
-``vertex_solver``, ``mean_graph``) opens a ``backend.<capability>``
-span around the inner call — per-capability call counts and durations
-for free, on any backend, builtin or user-registered, with zero edits
-to the kernels themselves.
+``vertex_solver``) opens a ``backend.<capability>`` span around the
+inner call — per-capability call counts and durations for free, on any
+backend, builtin or user-registered, with zero edits to the kernels
+themselves.
 
 The wrapper is transparent everywhere that matters: ``name``,
 ``supports_shared_adjacency``, availability, and capability
@@ -21,7 +21,7 @@ overrides wholesale).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, Iterable, Optional
 
 from repro.engine.registry import SolverBackend
 from repro.obs.trace import Tracer
@@ -192,10 +192,6 @@ class TracingBackend(SolverBackend):
             return self.inner.replicator(
                 graph, x0, rule=rule, tol=tol, max_iterations=max_iterations
             )
-
-    def mean_graph(self, graphs: List["Graph"]) -> "Graph":
-        with self.tracer.span("backend.mean_graph", backend=self.inner.name):
-            return self.inner.mean_graph(graphs)
 
 
 def wrap_backend(backend: SolverBackend, tracer: Tracer) -> SolverBackend:

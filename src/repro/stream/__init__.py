@@ -22,8 +22,9 @@ Data flow::
 
 Entry points: :class:`StreamingDCSEngine` (the engine),
 :func:`snapshot_recompute` (the naive full-rebuild reference used for
-parity gating), :func:`read_events` / :func:`write_events` (the
-``repro stream`` file format).
+parity gating, with :func:`mean_graph` its window mean),
+:func:`read_events` / :func:`write_events` (the ``repro stream`` file
+format).
 """
 
 from repro.stream.alerts import (
@@ -39,6 +40,7 @@ from repro.stream.engine import (
     EngineStats,
     SolveOutcome,
     StreamingDCSEngine,
+    mean_graph,
     replay_events,
     snapshot_recompute,
     solve_difference,
@@ -48,7 +50,6 @@ from repro.stream.events import (
     EdgeEvent,
     EventLog,
     edge_key,
-    events_between,
     group_by_step,
     read_events,
     write_events,
@@ -66,6 +67,7 @@ __all__ = [
     "EngineStats",
     "SolveOutcome",
     "StreamingDCSEngine",
+    "mean_graph",
     "replay_events",
     "snapshot_recompute",
     "solve_difference",
@@ -73,7 +75,6 @@ __all__ = [
     "EdgeEvent",
     "EventLog",
     "edge_key",
-    "events_between",
     "group_by_step",
     "read_events",
     "write_events",

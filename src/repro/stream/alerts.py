@@ -1,10 +1,9 @@
 """Alert pipeline: typed alerts, a collecting log, JSON serialisation.
 
-The engine's output contract mirrors the batch
-:class:`~repro.core.monitor.ContrastAlert`, extended with streaming
-provenance: which path produced the answer (a full solve, the cached
-previous solve, or a carried incumbent) so operators and benchmarks can
-see the incremental machinery working.
+Each alert carries a step's flagged subset and contrast score plus its
+streaming provenance: which path produced the answer (a full solve, the
+cached previous solve, or a carried incumbent) so operators and
+benchmarks can see the incremental machinery working.
 """
 
 from __future__ import annotations

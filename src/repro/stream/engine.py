@@ -45,9 +45,8 @@ them differently:
   last full solve covers more than ``drift_ratio`` of the universe.
 
 :func:`snapshot_recompute` is the naive reference: materialise every
-step's snapshot, rebuild the window mean and the difference graph from
-scratch, full solve every step — exactly what
-:class:`repro.core.monitor.ContrastMonitor` does today.  The benchmark
+step's snapshot, rebuild the window mean (:func:`mean_graph`) and the
+difference graph from scratch, full solve every step.  The benchmark
 gates the engine's speedup against it *with identical alert sets*.
 """
 
@@ -69,7 +68,6 @@ from typing import (
 )
 
 from repro.core.difference import difference_graph
-from repro.core.monitor import mean_graph
 from repro.core.topk import (
     IncrementalTopK,
     RankedDCS,
@@ -919,6 +917,25 @@ def replay_events(
 # ----------------------------------------------------------------------
 # the naive reference: full snapshot recompute, every step
 # ----------------------------------------------------------------------
+def mean_graph(graphs: Iterable[Graph]) -> Graph:
+    """Edge-wise mean of several graphs over the union vertex set.
+
+    The reference "expectation" graph of a history window: an edge's
+    weight is its average weight across the window (absent = 0).
+    """
+    items = list(graphs)
+    if not items:
+        raise ValueError("cannot average zero graphs")
+    result = Graph()
+    for graph in items:
+        result.add_vertices(graph.vertices())
+    scale = 1.0 / len(items)
+    for graph in items:
+        for u, v, weight in graph.edges():
+            result.increment_edge(u, v, weight * scale)
+    return result
+
+
 def snapshot_recompute(
     events: Iterable[EdgeEvent],
     universe: Iterable[Vertex],
@@ -932,13 +949,13 @@ def snapshot_recompute(
     prune_eps: float = PRUNE_EPS,
     seed: int = 0,
 ) -> AlertLog:
-    """Per-step snapshot recompute — the ContrastMonitor loop over events.
+    """Per-step snapshot recompute — the full-rebuild monitoring loop.
 
     Every step materialises the full snapshot, rebuilds the window mean
-    with :func:`~repro.core.monitor.mean_graph`, rebuilds the difference
-    graph with :func:`~repro.core.difference.difference_graph`, and runs
-    the full solver.  ``O(window * m)`` per step regardless of how few
-    edges changed — the baseline the incremental engine is gated
+    with :func:`mean_graph`, rebuilds the difference graph with
+    :func:`~repro.core.difference.difference_graph`, and runs the full
+    solver on *backend*.  ``O(window * m)`` per step regardless of how
+    few edges changed — the baseline the incremental engine is gated
     against (same :func:`solve_difference`, so alert parity is a
     property of the *maintenance*, which is the claim under test).
     """
@@ -969,7 +986,7 @@ def snapshot_recompute(
         for event in grouped.get(step, ()):
             state.add_edge(event.u, event.v, event.w)
         if history and step >= warmup:
-            expected = mean_graph(history, backend=backend)
+            expected = mean_graph(history)
             diff = difference_graph(expected, state)
             diff = diff.map_weights(
                 lambda w: 0.0 if abs(w) <= prune_eps else w

@@ -22,11 +22,6 @@ The module also provides the event-file format used by ``repro stream``
     0 alice bob 1.5
     3 alice bob 4.0
     carol              <- bare token: declare an isolated vertex
-
-and :func:`events_between`, which diffs two snapshots into the event
-batch that transforms one into the other — the bridge from the
-snapshot-stream world of :mod:`repro.datasets.temporal` into the event
-world (and the basis of the monitor-parity tests).
 """
 
 from __future__ import annotations
@@ -46,7 +41,7 @@ from typing import (
 )
 
 from repro.exceptions import InputMismatchError
-from repro.graph.graph import Graph, Vertex
+from repro.graph.graph import Vertex
 
 PathLike = Union[str, os.PathLike]
 
@@ -146,27 +141,6 @@ def group_by_step(
     if batch:
         assert current is not None
         yield current, batch
-
-
-def events_between(
-    previous: Graph, current: Graph, t: int
-) -> List[EdgeEvent]:
-    """The event batch turning snapshot *previous* into snapshot *current*.
-
-    Emits one event per pair whose weight differs (including weight-0
-    events for edges that vanished).  Feeding a snapshot stream through
-    this converter reproduces the snapshot semantics of
-    :class:`repro.core.monitor.ContrastMonitor` event-by-event.
-    """
-    batch: List[EdgeEvent] = []
-    for u, v, weight in current.edges():
-        if previous.weight(u, v) != weight:
-            batch.append(EdgeEvent(t=t, u=u, v=v, w=weight))
-    for u, v, _ in previous.edges():
-        if not current.has_edge(u, v):
-            batch.append(EdgeEvent(t=t, u=u, v=v, w=0.0))
-    batch.sort()
-    return batch
 
 
 # ----------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Sliding-window accumulator: per-edge window sums under event deltas.
 
-The batch monitor rebuilds ``mean(history)`` and ``D = A2 - A1`` from
-scratch every step — ``O(window * m)`` work even when nothing changed.
+The full-rebuild reference
+(:func:`~repro.stream.engine.snapshot_recompute`) rebuilds
+``mean(history)`` and ``D = A2 - A1`` from scratch every step — ``O(window * m)`` work even when nothing changed.
 This module maintains the same quantities *incrementally*:
 
 * The **persistent state** ``A2``: each edge keeps its last observed
@@ -52,7 +53,7 @@ class SlidingWindowAccumulator:
     The window at the close of step ``t`` covers steps
     ``[t - L, t)`` with ``L = min(window, t)`` — the same "mean of the
     last ``window`` snapshots, fewer during warmup" convention as
-    :class:`repro.core.monitor.ContrastMonitor`.
+    :func:`repro.stream.engine.snapshot_recompute`.
     """
 
     __slots__ = ("window", "_state", "_history", "_steps", "_last_sums", "_last_length")
@@ -207,7 +208,7 @@ class SlidingWindowAccumulator:
         """Materialise the expectation graph as of the last close (O(m)).
 
         Provided for cross-checking against
-        :func:`repro.core.monitor.mean_graph`; the engine itself never
+        :func:`repro.stream.engine.mean_graph`; the engine itself never
         builds this.
         """
         graph = Graph()

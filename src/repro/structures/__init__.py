@@ -5,12 +5,9 @@
   difference graphs carry negative edge weights).
 * :class:`~repro.structures.segment_tree.MinSegmentTree` — the paper's
   suggested structure for locating the minimum-degree vertex.
-* :class:`~repro.structures.dsu.DisjointSets` — union-find for connected
-  component maintenance.
 """
 
-from repro.structures.dsu import DisjointSets
 from repro.structures.heap import IndexedHeap
 from repro.structures.segment_tree import MinSegmentTree
 
-__all__ = ["DisjointSets", "IndexedHeap", "MinSegmentTree"]
+__all__ = ["IndexedHeap", "MinSegmentTree"]

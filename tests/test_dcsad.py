@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.dcsad import (
+    dcs_exact_positive,
     dcs_greedy,
     dcs_greedy_pair,
     greedy_on_gd_only,
@@ -13,7 +14,7 @@ from repro.core.dcsad import (
 from repro.core.difference import difference_graph
 from repro.core.exact import exact_dcsad
 from repro.graph.components import is_connected
-from repro.graph.generators import complete_graph, random_signed_graph
+from repro.graph.generators import complete_graph, gnp_graph, random_signed_graph
 from repro.graph.graph import Graph
 
 
@@ -157,3 +158,28 @@ class TestBaselines:
         plus_only = greedy_on_gd_plus_only(gd)
         assert full.density >= gd_only.density - 1e-9
         assert full.density >= plus_only.density - 1e-9
+
+
+class TestExactPositiveDCSAD:
+    def test_matches_goldberg_on_positive_graph(self):
+        gd = gnp_graph(25, 0.2, seed=4, weight=lambda r: r.uniform(0.5, 3.0))
+        result = dcs_exact_positive(gd)
+        assert result.ratio_bound == 1.0
+        # Exact must be at least as good as the greedy heuristic.
+        greedy = dcs_greedy(gd)
+        assert result.density >= greedy.density - 1e-9
+
+    def test_negative_edge_rejected(self, signed_graph):
+        with pytest.raises(ValueError):
+            dcs_exact_positive(signed_graph)
+
+    def test_edgeless(self):
+        gd = Graph()
+        gd.add_vertices("ab")
+        result = dcs_exact_positive(gd)
+        assert result.density == 0.0
+        assert len(result.subset) == 1
+
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError):
+            dcs_exact_positive(Graph())

@@ -141,18 +141,15 @@ class TestRegistry:
         assert python.has_capability("new_sea")
         assert tree.has_capability("peel")
         assert not tree.has_capability("new_sea")
-        python.require_capabilities("peel", "new_sea", "mean_graph")
+        python.require_capabilities("peel", "new_sea")
         with pytest.raises(BackendCapabilityError):
             tree.require_capabilities("peel", "new_sea")
 
     def test_long_lived_consumers_fail_fast_on_incapable_backends(self):
-        # Monitor and streaming engine must reject a solver-incapable
-        # backend at construction, not steps into a stream.
-        from repro.core.monitor import ContrastMonitor
+        # The streaming engine must reject a solver-incapable backend
+        # at construction, not steps into a stream.
         from repro.stream.engine import StreamingDCSEngine
 
-        with pytest.raises(BackendCapabilityError):
-            ContrastMonitor(window=2, backend="segment_tree")
         with pytest.raises(BackendCapabilityError):
             StreamingDCSEngine(["a", "b"], measure="affinity",
                                backend="segment_tree")
@@ -264,10 +261,6 @@ class TestCustomBackendPlugsInEverywhere:
                 calls.append("new_sea")
                 return get_backend("python").new_sea(gd_plus, **kwargs)
 
-            def mean_graph(self, graphs):
-                calls.append("mean_graph")
-                return get_backend("python").mean_graph(graphs)
-
         register_backend(Counting())
         try:
             # core solvers
@@ -283,11 +276,6 @@ class TestCustomBackendPlugsInEverywhere:
                 PreparedGraph(gd),
             )
             assert report.provenance["backend"] == "test-counting"
-            # the monitor layer
-            from repro.core.monitor import mean_graph
-
-            mean_graph([gd], backend="test-counting")
-            assert calls.count("mean_graph") == 1
             assert calls.count("new_sea") == 1
             assert calls.count("peel") >= 2
         finally:

@@ -440,7 +440,6 @@ class TestRegistryIntegration:
             "vertex_solver",
             "initialization_plan",
             "replicator",
-            "mean_graph",
         ):
             assert backend.has_capability(capability), capability
         assert backend.supports_shared_adjacency

@@ -1,4 +1,4 @@
-"""Property-based tests for the extension modules (topk, monitor, flows)."""
+"""Property-based tests for the extension modules (topk, stream, flows)."""
 
 from __future__ import annotations
 
@@ -54,32 +54,25 @@ class TestTopKProperties:
 
 
 class TestMonitorProperties:
-    @given(positive_graphs(max_n=8), st.integers(1, 4))
-    @settings(**SETTINGS)
-    def test_stationary_stream_scores_zero(self, graph, window):
-        """Observing the identical snapshot repeatedly: the difference
-        graph is empty, so the contrast must be exactly 0."""
-        from repro.core.monitor import ContrastMonitor
-
-        monitor = ContrastMonitor(window=window, measure="average_degree")
-        alerts = monitor.run([graph] * (window + 3))
-        assert alerts
-        assert all(alert.score == pytest.approx(0.0) for alert in alerts)
-
     @given(positive_graphs(max_n=8))
     @settings(**SETTINGS)
     def test_mean_graph_idempotent(self, graph):
-        from repro.core.monitor import mean_graph
+        from repro.stream import mean_graph
 
         assert mean_graph([graph]) == graph
 
 
-class TestFlowBackendsProperty:
+class TestDinicMinCutProperty:
     @given(st.data())
     @settings(**SETTINGS)
-    def test_dinic_equals_push_relabel(self, data):
-        from repro.flow.dinic import FlowNetwork, max_flow
-        from repro.flow.push_relabel import max_flow_push_relabel
+    def test_max_flow_equals_brute_force_min_cut(self, data):
+        """Max-flow/min-cut duality against exhaustive enumeration: the
+        flow value equals the cheapest of all 2^(n-2) s-t partitions,
+        and the residual cut Dinic leaves behind has exactly that
+        capacity."""
+        from itertools import combinations
+
+        from repro.flow.dinic import FlowNetwork, max_flow, min_cut_side
 
         n = data.draw(st.integers(2, 6))
         arcs = []
@@ -89,17 +82,26 @@ class TestFlowBackendsProperty:
                     cap = data.draw(st.integers(1, 9))
                     arcs.append((u, v, float(cap)))
 
-        def build():
-            network = FlowNetwork()
-            network.add_node(0)
-            network.add_node(n - 1)
-            for u, v, cap in arcs:
-                network.add_arc(u, v, cap)
-            return network
+        def cut_capacity(side):
+            return sum(cap for u, v, cap in arcs if u in side and v not in side)
 
-        a = max_flow(build(), 0, n - 1)
-        b = max_flow_push_relabel(build(), 0, n - 1)
-        assert a == pytest.approx(b, abs=1e-9)
+        inner = range(1, n - 1)
+        brute = min(
+            cut_capacity({0, *chosen})
+            for size in range(len(inner) + 1)
+            for chosen in combinations(inner, size)
+        )
+
+        network = FlowNetwork()
+        network.add_node(0)
+        network.add_node(n - 1)
+        for u, v, cap in arcs:
+            network.add_arc(u, v, cap)
+        value = max_flow(network, 0, n - 1)
+        side = min_cut_side(network, 0)
+        assert value == pytest.approx(brute, abs=1e-9)
+        assert 0 in side and n - 1 not in side
+        assert cut_capacity(side) == pytest.approx(brute, abs=1e-9)
 
 
 class TestGoldbergVsExactProperty:

@@ -11,9 +11,10 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core.difference import difference_graph
-from repro.core.monitor import ContrastMonitor, mean_graph
 from repro.datasets.streaming import burst_event_stream
 from repro.exceptions import InputMismatchError, VertexNotFound
 from repro.graph.graph import Graph
@@ -27,8 +28,8 @@ from repro.stream import (
     StreamingDCSEngine,
     alert_keys,
     edge_key,
-    events_between,
     group_by_step,
+    mean_graph,
     read_events,
     snapshot_recompute,
     solve_difference,
@@ -79,16 +80,6 @@ class TestEdgeEvent:
         ]
         with pytest.raises(InputMismatchError):
             list(group_by_step(events))
-
-    def test_events_between_diffs_snapshots(self):
-        g1 = Graph.from_edges([("a", "b", 1.0), ("b", "c", 2.0)])
-        g2 = Graph.from_edges([("a", "b", 3.0)], vertices=["c"])
-        batch = events_between(g1, g2, t=7)
-        replayed = g1.copy()
-        for event in batch:
-            replayed.add_edge(event.u, event.v, event.w)
-        assert replayed == g2
-        assert all(event.t == 7 for event in batch)
 
     def test_file_round_trip(self, tmp_path):
         log = EventLog(
@@ -192,8 +183,27 @@ class TestAccumulator:
                 assert acc.expectation_weight(key) == pytest.approx(weight)
 
 
+class TestMeanGraph:
+    """The window mean behind :func:`snapshot_recompute`."""
+
+    def test_mean_of_identical_graphs(self, triangle):
+        mean = mean_graph([triangle, triangle, triangle])
+        assert mean == triangle
+
+    def test_mean_averages_weights(self):
+        g1 = Graph.from_edges([("a", "b", 1.0)], vertices=["c"])
+        g2 = Graph.from_edges([("a", "b", 3.0), ("b", "c", 2.0)])
+        mean = mean_graph([g1, g2])
+        assert mean.weight("a", "b") == pytest.approx(2.0)
+        assert mean.weight("b", "c") == pytest.approx(1.0)
+
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError):
+            mean_graph([])
+
+
 # ----------------------------------------------------------------------
-# engine parity against naive recompute and the batch monitor
+# engine parity against naive recompute
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def workload():
@@ -263,19 +273,6 @@ class TestEngineParity:
         assert alert_keys(py) == alert_keys(sp)
         for a, b in zip(py, sp):
             assert a.score == pytest.approx(b.score)
-
-    def test_matches_contrast_monitor(self, workload):
-        """The engine is the event-native ContrastMonitor."""
-        monitor = ContrastMonitor(window=4, measure="average_degree")
-        monitor_alerts = monitor.run(workload.snapshots())
-        _, engine_alerts = self._run(workload, "python")
-        by_step = {a.step: a for a in engine_alerts}
-        for alert in monitor_alerts:
-            if alert.score < 1e-6:
-                continue  # engine suppresses empty/zero answers
-            mine = by_step[alert.step]
-            assert mine.score == pytest.approx(alert.score)
-            assert mine.subset == frozenset(alert.subset)
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_gated_policy_parity_on_burst(self, workload, backend):
@@ -432,6 +429,116 @@ class TestGatedAdversarialParity:
         for step, alert in by_step.items():
             if step >= 13:
                 assert not (alert.subset & {"b1", "b2", "b3"}), step
+
+
+# ----------------------------------------------------------------------
+# behaviours both monitoring paths share: the full-rebuild reference and
+# the incremental engine under its answer-faithful policy
+# ----------------------------------------------------------------------
+def _recompute_alerts(events, universe, n_steps, **params):
+    return snapshot_recompute(events, universe, n_steps=n_steps, **params)
+
+
+def _engine_alerts(events, universe, n_steps, **params):
+    engine = StreamingDCSEngine(universe, policy="exact", **params)
+    return engine.run(events, n_steps=n_steps)
+
+
+RUNNERS = {"snapshot_recompute": _recompute_alerts, "engine": _engine_alerts}
+
+
+@st.composite
+def stationary_streams(draw, max_n=8):
+    """A random positive graph observed once at step 0, then held."""
+    n = draw(st.integers(3, max_n))
+    events = []
+    for u in range(n):
+        for v in range(u + 1, n):
+            if draw(st.booleans()):
+                weight = draw(st.floats(min_value=0.25, max_value=4.0))
+                events.append(EdgeEvent(t=0, u=u, v=v, w=weight))
+    return events, range(n)
+
+
+class TestMonitoringPaths:
+    @pytest.mark.parametrize("runner", sorted(RUNNERS))
+    @given(stream=stationary_streams(), window=st.integers(1, 4))
+    @settings(
+        max_examples=25,
+        deadline=None,
+        suppress_health_check=[
+            HealthCheck.too_slow,
+            HealthCheck.function_scoped_fixture,
+        ],
+    )
+    def test_stationary_stream_scores_zero(self, runner, stream, window):
+        """Observing an unchanging network: the difference graph is
+        exactly empty every step, so even with a negative ``min_score``
+        no answer is alerted (empty answers never are)."""
+        events, universe = stream
+        alerts = RUNNERS[runner](
+            events, universe, window + 3, window=window, min_score=-1.0
+        )
+        assert not alerts
+
+    @pytest.mark.parametrize("runner", sorted(RUNNERS))
+    def test_window_one_contrasts_against_previous_step(self, runner):
+        events = [
+            EdgeEvent(t=0, u="a", v="b", w=1.0),
+            EdgeEvent(t=1, u="a", v="b", w=5.0),
+            EdgeEvent(t=1, u="b", v="c", w=2.0),
+            EdgeEvent(t=3, u="a", v="b", w=6.0),
+        ]
+        alerts = RUNNERS[runner](
+            events, ["a", "b", "c"], 4, window=1, warmup=1
+        )
+        by_step = {alert.step: alert for alert in alerts}
+        # Step 1 against step 0: GD has a-b = 4, b-c = 2.
+        assert by_step[1].score == pytest.approx((2 * 4.0 + 2 * 2.0) / 3)
+        # Step 2 repeats step 1: nothing to contrast.
+        assert 2 not in by_step
+        # Step 3 against step 2 only (not step 0): GD has a-b = 1.
+        assert by_step[3].subset == frozenset({"a", "b"})
+        assert by_step[3].score == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("runner", sorted(RUNNERS))
+    @pytest.mark.parametrize("measure", ["average_degree", "affinity"])
+    def test_burst_flagged_and_decays(self, workload, runner, measure):
+        """The planted burst is flagged at every burst step, dwarfs every
+        quiet step, and its score decays strictly while the window mean
+        absorbs it."""
+        alerts = RUNNERS[runner](
+            workload.log.events,
+            workload.universe,
+            workload.n_steps,
+            window=4,
+            measure=measure,
+        )
+        hot = [a for a in alerts if workload.is_anomalous_step(a.step)]
+        quiet = [a.score for a in alerts if not workload.is_anomalous_step(a.step)]
+        assert [a.step for a in hot] == list(
+            range(workload.anomaly_start, workload.anomaly_end)
+        )
+        assert hot[0].subset == workload.anomaly_members
+        assert all(a.subset <= workload.anomaly_members for a in hot)
+        scores = [a.score for a in hot]
+        assert all(earlier > later for earlier, later in zip(scores, scores[1:]))
+        assert scores[-1] > 2 * max(quiet)
+
+    @pytest.mark.parametrize("runner", sorted(RUNNERS))
+    @pytest.mark.parametrize("warmup", [0, 1, 3])
+    def test_no_alerts_before_warmup(self, runner, warmup):
+        """Every step contrasts, but alerts start exactly at warmup
+        (clamped to 1: step 0 has no history to contrast against)."""
+        events = [
+            EdgeEvent(t=t, u="a", v="b", w=float(t + 1)) for t in range(6)
+        ]
+        alerts = RUNNERS[runner](
+            events, ["a", "b", "c"], 6, window=2, warmup=warmup
+        )
+        assert [alert.step for alert in alerts] == list(
+            range(max(1, warmup), 6)
+        )
 
 
 class TestEngineBehaviour:

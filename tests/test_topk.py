@@ -177,12 +177,12 @@ class TestCoverage:
 # ----------------------------------------------------------------------
 import random  # noqa: E402
 
-from repro.core.monitor import mean_graph  # noqa: E402
 from repro.core.topk import IncrementalTopK  # noqa: E402
 from repro.core.difference import difference_graph  # noqa: E402
 from repro.stream import (  # noqa: E402
     SOURCE_INCUMBENT,
     StreamingDCSEngine,
+    mean_graph,
     solve_difference_topk,
 )
 from repro.stream.events import EdgeEvent  # noqa: E402
