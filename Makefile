@@ -5,7 +5,7 @@ PYTHON      ?= python
 PYTHONPATH  := src
 export PYTHONPATH
 
-.PHONY: test coverage lint lint-invariants examples-smoke bench-smoke bench-stream bench-batch bench-service bench-sessions bench-scale serve-smoke session-smoke obs-smoke scale-smoke bench docs-check check
+.PHONY: test coverage lint lint-invariants examples-smoke perf-solve bench-smoke bench-stream bench-batch bench-service bench-sessions bench-scale serve-smoke session-smoke obs-smoke scale-smoke bench docs-check check
 
 ## Full test suite (tier-1 gate; fast).
 test:
@@ -62,6 +62,13 @@ examples-smoke:
 		$(PYTHON) examples/$$example.py > /dev/null; \
 	done
 	@echo "examples OK"
+
+## End-to-end `solve` benchmark (in-process DCSAD/DCSGA x python/sparse
+## on planted and heavy-tailed graphs, seed 1, 25 s): prints the machine
+## stamp and every end-to-end metric of BENCHMARK.json as JSON.  Run it
+## on two checkouts, alternating, to compare a change with its parent.
+perf-solve:
+	python3 perfbench/run.py --workload solve --seed 1 --seconds 25 --trace 0
 
 ## Scalability + streaming + batch + service + session gates:
 ## sparse-vs-python backend speedup (>= 5x at the largest planted

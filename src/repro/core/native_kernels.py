@@ -13,8 +13,8 @@ on the flat ``indptr``/``indices``/``data`` arrays of a frozen
   shrink loop (dense induced block under
   :data:`~repro.core.sparse_solvers.DENSE_SUPPORT_LIMIT`, CSR row
   updates above it);
-* :func:`_dense_block_kernel` — the induced-block gather (a Python row
-  loop in :meth:`CSRAdjacency.dense_block`);
+* :func:`_dense_block_kernel` — the induced-block gather (one
+  vectorised NumPy gather in :meth:`CSRAdjacency.dense_block`);
 * :func:`_peel_kernel` — Algorithm 1 greedy peeling with a faithful
   replica of CPython's lazy binary heap;
 * :func:`_replicator_kernel` — replicator dynamics, matvec included.
@@ -25,11 +25,11 @@ scans, the same inlined ``_best_pair_move`` candidate order, two
 separate row axpys, sequential per-row matvec accumulation (what
 SciPy's C ``csr_matvec`` does) — so the compiled coordinate-descent
 trajectory is bitwise identical to ``coordinate_descent_csr`` and the
-peel pop order is bitwise identical to ``_peel_sparse``.  The only
+peel (pop order and densities, both summing each removed row
+sequentially) is bitwise identical to ``_peel_sparse``.  The only
 tolerated divergence is NumPy's pairwise summation in a handful of
-*reductions* (``removed.sum()``, BLAS dots), which can move density
-low bits without affecting selections; the differential test tier pins
-all of this down.
+*reductions* (BLAS dots), which can move low bits without affecting
+selections; the differential test tier pins all of this down.
 
 **Lazy, gated, and testable without Numba.**  Numba is imported inside
 :func:`get_kernels` only; its absence leaves every existing backend

@@ -87,7 +87,16 @@ def coordinate_descent_csr(
     if size == 1:
         # Singleton support: no self loop, zero gradient — trivially a
         # local KKT point (the reference backend finds no movable pair).
-        return x, adj.matvec(x) if need_dx else None, 0.0, 0, True
+        # ``Dx`` is the member's row scaled by its weight: scattering it
+        # gives the same bits as a full product, whose other terms are
+        # all exact zeros.
+        dx = None
+        if need_dx:
+            member = int(members[0])
+            neighbors, weights = adj.row(member)
+            dx = np.zeros(adj.n, dtype=np.float64)
+            dx[neighbors] = weights * x[member]
+        return x, dx, 0.0, 0, True
 
     dense = size <= DENSE_SUPPORT_LIMIT
     xm = x[members]
@@ -333,7 +342,8 @@ def refine_csr(
     x = adj.embedding_vector({u: w for u, w in x0.items() if w > 0.0})
     if not (x > 0.0).any():
         raise ValueError("cannot refine an empty embedding")
-    x, objective, merges, initial = _refine_vec(
+    initial = adj.objective(x)
+    x, objective, merges = _refine_vec(
         adj, x, tol_scale, max_cd_iterations, cd=cd
     )
     return adj.embedding_dict(x), objective, merges, initial
@@ -348,6 +358,8 @@ def _find_non_adjacent_pair_vec(
     The adjacency test marks each row in a shared boolean buffer (reset
     after use), which beats set/``isin`` lookups at every support size.
     """
+    if support.size < 2:
+        return None
     by_degree = support[np.argsort(adj.unweighted_degrees()[support], kind="stable")]
     is_neighbor = np.zeros(adj.n, dtype=bool)
     for position, u in enumerate(by_degree):
@@ -369,10 +381,13 @@ def _refine_vec(
     tol_scale: float,
     max_cd_iterations: int,
     cd: Optional["CoordinateDescentFn"] = None,
-) -> Tuple[np.ndarray, float, int, float]:
+) -> Tuple[np.ndarray, float, int]:
+    """Merge non-adjacent support pairs until the support is a clique.
+
+    Mutates *x*; returns ``(x, objective, merges)``.
+    """
     if cd is None:
         cd = coordinate_descent_csr
-    initial_objective = adj.objective(x)
     merges = 0
     while True:
         support = np.flatnonzero(x > 0.0)
@@ -394,7 +409,7 @@ def _refine_vec(
             need_dx=False,
         )
         merges += 1
-    return x, adj.objective(x), merges, initial_objective
+    return x, adj.objective(x), merges
 
 
 # ----------------------------------------------------------------------
@@ -411,7 +426,7 @@ def _solve_one_vec(
     x = np.zeros(adj.n, dtype=np.float64)
     x[vertex_index] = 1.0
     x, _, _, stats = _seacd_vec(adj, x, tol_scale, max_expansions, 100_000, cd=cd)
-    x, objective, _, _ = _refine_vec(adj, x, tol_scale, 100_000, cd=cd)
+    x, objective, _ = _refine_vec(adj, x, tol_scale, 100_000, cd=cd)
     return x, objective, stats.expansion_errors
 
 

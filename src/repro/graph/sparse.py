@@ -246,21 +246,29 @@ class CSRAdjacency:
     def dense_block(self, rows: np.ndarray) -> np.ndarray:
         """The induced block ``D[rows][:, rows]`` as a dense array.
 
-        Built row-by-row through a reusable global->local index buffer —
-        for the support-sized blocks the solvers need, this is an order
-        of magnitude cheaper than SciPy's double fancy indexing.
+        One vectorised gather: the rows' ``indptr`` ranges expand to
+        flat CSR positions, a reusable global->local index buffer maps
+        their columns, and a single fancy-index store places the
+        entries that fall inside the block.  For the support-sized
+        blocks the solvers need, this is an order of magnitude cheaper
+        than SciPy's double fancy indexing.
         """
         if self._local_map is None:
             self._local_map = np.full(self.n, -1, dtype=np.int64)
         local_of = self._local_map
         size = int(rows.size)
         local_of[rows] = np.arange(size)
+        starts = self.indptr[rows]
+        lengths = self.indptr[rows + 1] - starts
+        # CSR position of every stored entry of the selected rows, in
+        # row order: running count + (row start - row's first count).
+        row_of = np.repeat(np.arange(size), lengths)
+        shift = starts - (np.cumsum(lengths) - lengths)
+        positions = np.arange(row_of.size) + np.repeat(shift, lengths)
+        cols = local_of[self.indices[positions]]
+        inside = cols >= 0
         block = np.zeros((size, size), dtype=np.float64)
-        for local_row, global_row in enumerate(rows):
-            neighbors, weights = self.row(int(global_row))
-            local_cols = local_of[neighbors]
-            inside = local_cols >= 0
-            block[local_row, local_cols[inside]] = weights[inside]
+        block[row_of[inside], cols[inside]] = self.data[positions[inside]]
         local_of[rows] = -1
         return block
 

@@ -9,10 +9,10 @@ distinguish this implementation from the textbook one:
   priority structure must support both key directions.  All backends do:
   an addressable :class:`~repro.structures.heap.IndexedHeap`, the
   :class:`~repro.structures.segment_tree.MinSegmentTree` the paper
-  suggests, and a vectorised ``"sparse"`` backend (NumPy degree array
-  over a :class:`~repro.graph.sparse.CSRAdjacency` plus a lazy binary
-  heap).  On positive-weight graphs the greedy retains its classic
-  2-approximation guarantee; on signed graphs it is a heuristic (DCSAD is
+  suggests, and a ``"sparse"`` backend (one NumPy row-sum over a
+  :class:`~repro.graph.sparse.CSRAdjacency`, then a lazy binary heap
+  over plain-Python list views of the CSR arrays).  On positive-weight
+  graphs the greedy retains its classic 2-approximation guarantee; on signed graphs it is a heuristic (DCSAD is
   ``O(n^{1-eps})``-inapproximable, Corollary 1).
 * **Density convention.**  Average degree is the paper's
   ``rho(S) = W(S)/|S|`` with ``W`` the total degree (each edge twice).
@@ -164,18 +164,19 @@ def _peel_loop(graph, degrees, heap_pop, heap_adjust, alive) -> PeelResult:
 def _peel_sparse(
     graph: Graph, adjacency: Optional["CSRAdjacency"] = None
 ) -> PeelResult:
-    """Vectorised peel: CSR degree array + lazy heap.
+    """CSR peel: row-sum degrees + lazy heap over list views.
 
-    Degrees are initialised as one row-sum and updated with O(deg)
-    NumPy row slices; the priority queue is a lazy ``heapq`` (an entry
-    is stale unless its key equals the vertex's current degree), which
-    handles both key directions of signed weights without an
-    addressable structure.  *adjacency* supplies the graph's prebuilt
-    CSR (validated cheaply against vertex/edge counts) so shared
-    preparations skip the freeze.
+    Degrees are initialised as one NumPy row-sum; the loop then runs on
+    ``.tolist()`` views of the degree and CSR arrays, taken per call, so
+    each removal costs scalar list updates only.  Each removed row's
+    weight is summed sequentially, the float order of the native
+    kernel's peel (:func:`repro.core.native_kernels._peel_kernel`).
+    The priority queue is a lazy ``heapq`` (an entry is stale unless its
+    key equals the vertex's current degree), which handles both key
+    directions of signed weights without an addressable structure.
+    *adjacency* supplies the graph's prebuilt CSR (validated cheaply
+    against vertex/edge counts) so shared preparations skip the freeze.
     """
-    import numpy as np
-
     from repro.exceptions import InputMismatchError
     from repro.graph.sparse import CSRAdjacency
 
@@ -192,18 +193,28 @@ def _peel_sparse(
     else:
         adj = CSRAdjacency.from_graph(graph)
     n = adj.n
-    degrees = adj.degrees().copy()
-    alive = np.ones(n, dtype=bool)
-    heap = [(float(degrees[i]), i) for i in range(n)]
+    row_sums = adj.degrees()
+    total_degree = float(row_sums.sum())
+    # Plain-Python views: every per-vertex step below is a scalar list
+    # operation, with no NumPy call or NumPy-scalar boxing.  They are
+    # built per call, not cached on the adjacency, because a prepared
+    # graph lives as long as its cache entry and lists cost several
+    # times the memory of the arrays.
+    degrees = row_sums.tolist()
+    indptr = adj.indptr.tolist()
+    indices = adj.indices.tolist()
+    data = adj.data.tolist()
+    alive = [True] * n
+    heap = [(degrees[i], i) for i in range(n)]
     heapq.heapify(heap)
+    heappop, heappush = heapq.heappop, heapq.heappush
 
     def pop_min() -> int:
         while True:
-            key, vertex = heapq.heappop(heap)
+            key, vertex = heappop(heap)
             if alive[vertex] and key == degrees[vertex]:
                 return vertex
 
-    total_degree = float(degrees.sum())
     size = n
     order_idx: List[int] = []
     densities: List[float] = []
@@ -215,16 +226,18 @@ def _peel_sparse(
         vertex = pop_min()
         alive[vertex] = False
         order_idx.append(vertex)
-        neighbors, weights = adj.row(vertex)
-        live = alive[neighbors]
-        touched = neighbors[live]
-        removed = weights[live]
-        degrees[touched] -= removed
-        for neighbor in touched:
-            heapq.heappush(heap, (float(degrees[neighbor]), int(neighbor)))
+        removed = 0.0
+        for position in range(indptr[vertex], indptr[vertex + 1]):
+            neighbor = indices[position]
+            if alive[neighbor]:
+                weight = data[position]
+                degree = degrees[neighbor] - weight
+                degrees[neighbor] = degree
+                removed += weight
+                heappush(heap, (degree, neighbor))
         # Each removed undirected edge contributes twice to the total
         # degree: once at each endpoint.
-        total_degree -= 2.0 * float(removed.sum())
+        total_degree -= 2.0 * removed
         size -= 1
         density = total_degree / size
         densities.append(density)

@@ -140,19 +140,14 @@ class TestPeelDifferential:
     @settings(**SETTINGS)
     @given(graph_cases())
     def test_peel_matches_sparse(self, graph):
-        # Pop order and subset are exact; densities may differ in the
-        # last bits because _peel_sparse reduces each removed row with
-        # NumPy's pairwise `removed.sum()` while the kernel accumulates
-        # sequentially (the one tolerated divergence in the parity
-        # contract of repro.core.native_kernels).
+        # Bit for bit: both sum each removed row sequentially, so the
+        # densities agree exactly, not just the pop order.
         native = native_backend().peel(graph)
         sparse = sparse_backend().peel(graph)
         assert native.order == sparse.order
         assert native.subset == sparse.subset
-        assert native.density == pytest.approx(sparse.density, rel=1e-12)
-        assert len(native.densities) == len(sparse.densities)
-        for a, b in zip(native.densities, sparse.densities):
-            assert a == pytest.approx(b, rel=1e-12, abs=1e-12)
+        assert native.density == sparse.density
+        assert native.densities == sparse.densities
 
     @settings(**SETTINGS)
     @given(graph_cases(signed=False))

@@ -25,6 +25,7 @@ from repro.core.initialization import smart_initialization_plan
 from repro.core.newsea import new_sea, solve_all_initializations
 from repro.core.refinement import refine
 from repro.core.seacd import seacd
+from repro.core.sparse_solvers import coordinate_descent_csr
 from repro.exceptions import VertexNotFound
 from repro.graph.generators import random_signed_graph
 from repro.graph.graph import Graph
@@ -83,16 +84,32 @@ class TestCSRAdjacency:
 
     def test_dense_block_matches_submatrix(self):
         gd = _random_gd(6)
+        gd.add_vertex("isolated")
         adj = CSRAdjacency.from_graph(gd)
-        rows = np.array([1, 4, 9, 17])
-        assert np.allclose(
-            adj.dense_block(rows), adj.submatrix(rows).toarray()
-        )
-        # The scatter buffer must be cleanly reset between calls.
-        other = np.array([0, 2, 9])
-        assert np.allclose(
-            adj.dense_block(other), adj.submatrix(other).toarray()
-        )
+        dense = adj.matrix.toarray()
+        isolated = adj.index["isolated"]
+        # Greedy independent set: a support with no internal edge.
+        independent = []
+        for i in range(adj.n):
+            if not any(dense[i, j] for j in independent):
+                independent.append(i)
+        cases = [
+            np.array([1, 4, 9, 17]),
+            # The scatter buffer must be cleanly reset between calls.
+            np.array([0, 2, 9]),
+            np.array([5]),
+            np.array([], dtype=np.int64),
+            np.array([17, 3, 40, 9, 1]),
+            np.array(independent[:6]),
+            np.array([isolated, 2, 9]),
+        ]
+        assert len(independent) >= 6
+        for rows in cases:
+            block = adj.dense_block(rows)
+            # The gather only places stored weights: exact equality.
+            assert np.array_equal(block, adj.submatrix(rows).toarray())
+            assert (adj._local_map == -1).all()
+        assert not adj.dense_block(np.array(independent[:6])).any()
 
 
 # ----------------------------------------------------------------------
@@ -124,6 +141,48 @@ class TestReplicatorParity:
         gp = _random_gd(0).positive_part()
         with pytest.raises(ValueError):
             replicator_dynamics(gp, {next(gp.vertices()): 1.0}, backend="cuda")
+
+
+# ----------------------------------------------------------------------
+# shrink stage
+# ----------------------------------------------------------------------
+class _CountingAdjacency:
+    """Delegates to a CSRAdjacency, counting full-width products."""
+
+    def __init__(self, adj: CSRAdjacency) -> None:
+        self._adj = adj
+        self.matvec_calls = 0
+
+    def matvec(self, x):
+        self.matvec_calls += 1
+        return self._adj.matvec(x)
+
+    def __getattr__(self, name):
+        return getattr(self._adj, name)
+
+
+class TestSingletonShrink:
+    def test_dx_is_the_scattered_row_without_a_product(self):
+        gp = _random_gd(7).positive_part()
+        gp.add_vertex("isolated")
+        adj = CSRAdjacency.from_graph(gp)
+        counting = _CountingAdjacency(adj)
+        for member in (0, 11, adj.index["isolated"]):
+            for weight in (1.0, 0.3):
+                x = np.zeros(adj.n)
+                x[member] = weight
+                _, dx, objective, iterations, converged = (
+                    coordinate_descent_csr(
+                        counting, x, np.array([member]), tol=1e-3
+                    )
+                )
+                assert np.array_equal(dx, adj.matvec(x))
+                assert (objective, iterations, converged) == (0.0, 0, True)
+                skipped = coordinate_descent_csr(
+                    counting, x, np.array([member]), tol=1e-3, need_dx=False
+                )
+                assert skipped[1] is None
+        assert counting.matvec_calls == 0
 
 
 # ----------------------------------------------------------------------
