@@ -5,7 +5,7 @@ PYTHON      ?= python
 PYTHONPATH  := src
 export PYTHONPATH
 
-.PHONY: test coverage lint lint-invariants examples-smoke perf-solve bench-smoke bench-stream bench-batch bench-service bench-sessions bench-scale serve-smoke session-smoke obs-smoke scale-smoke bench docs-check check
+.PHONY: test coverage lint lint-invariants examples-smoke perf-solve perf-selftest bench-smoke bench-stream bench-batch bench-service bench-sessions bench-scale serve-smoke session-smoke obs-smoke scale-smoke bench docs-check check
 
 ## Full test suite (tier-1 gate; fast).
 test:
@@ -69,6 +69,14 @@ examples-smoke:
 ## on two checkouts, alternating, to compare a change with its parent.
 perf-solve:
 	python3 perfbench/run.py --workload solve --seed 1 --seconds 25 --trace 0
+
+## Self-tests of the benchmark harness (perfbench/selftest.py, ~6 s):
+## among others, every layer hook in perfbench/layers.py must still
+## resolve to a program function — including the ServiceApp._submit
+## wrapper — so a rename in src/ that would silently blind the
+## benchmark fails here.
+perf-selftest:
+	python3 perfbench/selftest.py
 
 ## Scalability + streaming + batch + service + session gates:
 ## sparse-vs-python backend speedup (>= 5x at the largest planted

@@ -3,8 +3,8 @@
 One :class:`ServiceApp` is a resident query engine: it owns a
 :class:`~repro.service.registry.GraphRegistry` (warm
 ``PreparedGraph`` LRU), a :class:`~repro.batch.cache.ResultCache`
-(the same content-addressed cache the batch layer fills), a bounded
-admission queue feeding a small thread pool, and the metrics counters.
+(the same content-addressed cache the batch layer fills), a small
+thread pool with a bounded admission count, and the metrics counters.
 The HTTP layer (:mod:`repro.service.http`) is a thin shell around
 :meth:`ServiceApp.handle`; every route is equally reachable in-process
 via :meth:`dispatch` / :meth:`request`, which is how the tests and the
@@ -28,17 +28,21 @@ keys, same canonical payload bytes — with only the out-of-band
 from the canonical payload, so a hit is byte-identical to a fresh
 solve.
 
-Admission control: compute requests enter a bounded
-:class:`asyncio.Queue`; a full queue means an immediate ``429`` (and a
-``rejected`` counter tick) instead of unbounded buffering.  ``workers``
-asyncio consumers bridge the queue to a thread pool where
+Admission control: the service's thread pool is the queue.  Every
+compute request and every piece of preparation work (registry
+resolution, uploads, event-log parsing) is submitted straight to one
+``ThreadPoolExecutor`` of ``workers`` threads, where
 :func:`~repro.batch.executor.run_guarded` — the batch executor's own
-per-query guard — runs the solve.  In a pool thread ``SIGALRM`` cannot
-fire, so the request deadline is enforced at the awaiting side: the
-client gets its ``504`` on time even if the solve thread runs on.
-Graph preparation (registry resolution, uploads, event-log parsing) is
-offloaded to the same pool, so the event loop — and ``/healthz`` —
-stays responsive while a large graph is synthesised.
+per-query guard — runs the solve.  A lock-guarded count of admitted,
+unfinished jobs bounds the backlog: a job that would push it past
+``max_pending + workers`` gets an immediate ``429`` (and a ``rejected``
+counter tick) instead of unbounded buffering.  In a pool thread
+``SIGALRM`` cannot fire, so the request deadline is enforced at the
+awaiting side: the client gets its ``504`` on time, a job that has not
+started is cancelled, and a running one finishes in the background
+while it keeps its slot.  The app holds no event-loop state apart from
+the loop-lag probe :meth:`ServiceApp.start_server` starts, so the same
+app serves any number of loops (``asyncio.run`` per :meth:`request`).
 """
 
 from __future__ import annotations
@@ -48,8 +52,9 @@ import io
 import json
 import logging
 import re
+import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from contextvars import ContextVar
 from typing import Any, Awaitable, Callable, Dict, List, Optional, Tuple
 from urllib.parse import parse_qsl, urlsplit
@@ -122,28 +127,13 @@ _slow_log = logging.getLogger(SLOW_LOGGER)
 
 
 class ServiceOverloadedError(RuntimeError):
-    """Raised when the admission queue is full (maps to HTTP 429)."""
+    """Raised when the admission bound is reached (maps to HTTP 429)."""
 
 
 class ServiceDeadlineError(RuntimeError):
     """Raised when an admitted request exceeds its await-side deadline
-    (maps to HTTP 504; the abandoned work may finish in the
-    background)."""
-
-
-class _Job:
-    """One admitted unit of work and the future its requester awaits."""
-
-    __slots__ = ("work", "future", "abandoned")
-
-    def __init__(
-        self, work: Callable[[], Any], future: "asyncio.Future[Any]"
-    ) -> None:
-        self.work = work
-        self.future = future
-        #: set when the requester gave up (504 already sent) — a job
-        #: that has not started yet is skipped instead of computed
-        self.abandoned = False
+    (maps to HTTP 504; work not yet started is skipped, work already
+    running finishes in the background)."""
 
 
 def _field_int(body: Dict[str, Any], name: str, default: int) -> int:
@@ -197,19 +187,18 @@ class ServiceApp:
         directory-backed :class:`~repro.batch.cache.ResultCache` to
         persist answers across restarts.
     workers:
-        Concurrent solves (asyncio consumers = pool threads).  Solvers
-        are pure-Python and GIL-bound, so the default of 1 gives honest
-        FIFO latency; raise it when solves block on little CPU.
+        Threads of the service pool, which runs solves and preparation
+        alike.  Solvers are pure-Python and GIL-bound, so the default
+        of 1 gives honest FIFO latency; raise it when solves block on
+        little CPU.
     max_pending:
-        Bound of the admission queue; a full queue answers 429.
+        Jobs that may wait for a pool thread; past ``max_pending +
+        workers`` admitted, unfinished jobs a request answers 429.
     timeout:
         Default per-request solve budget in seconds (a request's own
         ``timeout`` field overrides it); ``None`` = unbounded.  On
         ``/v1/batch`` the budget is per query, so the request deadline
         is ``timeout x len(queries)``.
-    batch_workers / batch_mode:
-        Forwarded to the :class:`~repro.batch.executor.BatchExecutor`
-        serving ``/v1/batch`` submissions.
     warm_capacity / scale:
         Shape the default :class:`GraphRegistry` (ignored when a
         registry is injected).
@@ -251,8 +240,6 @@ class ServiceApp:
         workers: int = 1,
         max_pending: int = 32,
         timeout: Optional[float] = None,
-        batch_workers: int = 1,
-        batch_mode: str = "serial",
         warm_capacity: int = 8,
         scale: float = 0.25,
         max_sessions: int = 32,
@@ -291,14 +278,15 @@ class ServiceApp:
         self.workers = workers
         self.max_pending = max_pending
         self.timeout = timeout
-        self.batch_workers = batch_workers
-        self.batch_mode = batch_mode
         self.access_log = access_log
         self.slow_query_seconds = slow_query_seconds
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._queue: Optional["asyncio.Queue[_Job]"] = None
-        self._pool: Optional[ThreadPoolExecutor] = None
-        self._tasks: List["asyncio.Task[None]"] = []
+        self._pool = ThreadPoolExecutor(
+            max_workers=workers, thread_name_prefix="repro-service"
+        )
+        self._admission_lock = threading.Lock()
+        self._admitted = 0  # admitted, unfinished jobs (the 429 bound)
+        self._started = 0  # ... of which a pool thread has begun
+        self._lag_probe: Optional["asyncio.Task[None]"] = None
         self._routes: Dict[
             Tuple[str, str],
             Callable[[HttpRequest], Awaitable[HttpResponse]],
@@ -318,63 +306,17 @@ class ServiceApp:
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
-    async def _ensure_started(self) -> None:
-        """Bind queue, consumers and pool to the running event loop.
-
-        Re-binding on a *new* loop (repeated ``asyncio.run`` in scripts
-        and doctests) is supported: the previous loop's tasks died with
-        it, only the thread pool needs an explicit shutdown.
-        """
-        loop = asyncio.get_running_loop()
-        if self._loop is loop:
-            return
-        if self._pool is not None:
-            self._pool.shutdown(wait=False)
-        self._loop = loop
-        self._queue = asyncio.Queue(maxsize=self.max_pending)
-        self._pool = ThreadPoolExecutor(
-            max_workers=self.workers + 1,  # +1 keeps prep off solve slots
-            thread_name_prefix="repro-service",
-        )
-        self._tasks = [
-            loop.create_task(self._consume()) for _ in range(self.workers)
-        ]
-        self._tasks.append(loop.create_task(self._probe_loop_lag()))
-
     async def aclose(self) -> None:
-        """Stop consumers and release the thread pool."""
-        for task in self._tasks:
-            task.cancel()
-        if self._tasks:
-            await asyncio.gather(*self._tasks, return_exceptions=True)
-        if self._pool is not None:
-            self._pool.shutdown(wait=False)
-        self._tasks = []
-        self._loop = None
-        self._queue = None
-        self._pool = None
+        """Stop the loop-lag probe and release the thread pool.
 
-    async def _consume(self) -> None:
-        """One admission consumer: queue -> thread pool -> future."""
-        assert self._queue is not None
-        while True:
-            job = await self._queue.get()
-            try:
-                if job.abandoned:
-                    continue
-                loop = asyncio.get_running_loop()
-                outcome = await loop.run_in_executor(self._pool, job.work)
-                if not job.future.done():
-                    job.future.set_result(outcome)
-            except asyncio.CancelledError:
-                if not job.future.done():
-                    job.future.cancel()
-                raise
-            except Exception as exc:  # noqa: BLE001 - isolation boundary
-                if not job.future.done():
-                    job.future.set_exception(exc)
-            finally:
-                self._queue.task_done()
+        A job still running finishes in the background; the app takes
+        no new work afterwards.
+        """
+        probe, self._lag_probe = self._lag_probe, None
+        if probe is not None:
+            probe.cancel()
+            await asyncio.gather(probe, return_exceptions=True)
+        self._pool.shutdown(wait=False)
 
     async def _probe_loop_lag(self) -> None:
         """Measure event-loop scheduling lag on a fixed cadence.
@@ -392,52 +334,70 @@ class ServiceApp:
 
     @property
     def pending(self) -> int:
-        """Requests admitted but not yet picked up by a consumer."""
-        return self._queue.qsize() if self._queue is not None else 0
+        """Jobs admitted but not yet started by a pool thread."""
+        with self._admission_lock:
+            return self._admitted - self._started
+
+    def _admit(self) -> bool:
+        """Take an admission slot; False when the bound is reached."""
+        with self._admission_lock:
+            if self._admitted >= self.max_pending + self.workers:
+                return False
+            self._admitted += 1
+            return True
+
+    def _start(self, work: Callable[[], Any]) -> Any:
+        """Pool-thread entry of one admitted job."""
+        with self._admission_lock:
+            self._started += 1
+        return work()
+
+    def _release(self, future: "Future[Any]") -> None:
+        """Free a finished job's slot (a cancelled job never started)."""
+        with self._admission_lock:
+            self._admitted -= 1
+            if not future.cancelled():
+                self._started -= 1
 
     async def _run_blocking(self, fn: Callable[[], Any]) -> Any:
         """Run blocking preparation work off the event loop.
 
         Registry resolution, uploads and event-log parsing are CPU /
         IO work that would otherwise freeze every in-flight request
-        (including ``/healthz``) for their duration.  Prep goes through
-        the same bounded admission queue as solves — expensive work a
-        request triggers *anywhere* counts against ``max_pending`` and
-        sheds with a 429 on overflow, never queues without bound.
+        (including ``/healthz``) for their duration.  Prep is admitted
+        exactly like a solve — expensive work a request triggers
+        *anywhere* counts against the admission bound and sheds with a
+        429 on overflow, never queues without bound.
         """
         return await self._submit(fn, None)
 
     async def _submit(
         self, work: Callable[[], Any], deadline: Optional[float]
     ) -> Any:
-        """Admit *work*; await its outcome, bounding the wait.
+        """Admit *work* to the pool; await its outcome, bounding the wait.
 
-        Raises :class:`ServiceOverloadedError` when the queue is full
-        and :class:`ServiceDeadlineError` when *deadline* passes first
-        — the job is then abandoned (skipped if not yet started; left
-        to finish in the background if it is), and the requester gets
-        its answer on schedule.
+        Raises :class:`ServiceOverloadedError` when ``max_pending +
+        workers`` jobs are already admitted and unfinished, and
+        :class:`ServiceDeadlineError` when *deadline* passes first.
+        The pool future is then cancelled: a job that has not started
+        is skipped and frees its slot, a running one finishes in the
+        background and holds its slot until then.
         """
-        await self._ensure_started()
-        assert self._queue is not None
-        loop = asyncio.get_running_loop()
-        job = _Job(work, loop.create_future())
-        try:
-            self._queue.put_nowait(job)
-        except asyncio.QueueFull:
+        if not self._admit():
             self.metrics.observe_rejection()
             raise ServiceOverloadedError(
                 f"admission queue full ({self.max_pending} pending); "
                 "retry later"
-            ) from None
-        if deadline is None or deadline <= 0:
-            return await job.future
-        try:
-            return await asyncio.wait_for(
-                asyncio.shield(job.future), deadline + _TIMEOUT_GRACE
             )
+        future = self._pool.submit(self._start, work)
+        future.add_done_callback(self._release)
+        outcome = asyncio.wrap_future(future)
+        if deadline is None or deadline <= 0:
+            return await outcome
+        try:
+            return await asyncio.wait_for(outcome, deadline + _TIMEOUT_GRACE)
         except asyncio.TimeoutError:
-            job.abandoned = True
+            future.cancel()
             raise ServiceDeadlineError(
                 f"request exceeded its {deadline}s deadline"
             ) from None
@@ -605,25 +565,10 @@ class ServiceApp:
         """Synchronous :meth:`dispatch` (scripts, doctests, tests).
 
         Returns ``(status, payload)``.  Each call runs on a private
-        event loop via :func:`asyncio.run`; the app re-binds its queue
-        and consumers transparently.  Consumers are closed before the
-        loop dies — an abandoned coroutine garbage-collected on a
-        closed loop raises at unpredictable moments (the next call
-        would re-bind and orphan them anyway).
+        event loop via :func:`asyncio.run`; the app keeps no state bound
+        to a loop, so calls from any thread need no set-up or teardown.
         """
-
-        async def call() -> HttpResponse:
-            try:
-                return await self.dispatch(method, path, body)
-            finally:
-                # Threaded callers race to re-bind the app to their own
-                # loops; only the thread whose loop owns the tasks may
-                # close them (the others' orphans die with their loops,
-                # exactly the pre-existing behaviour).
-                if self._loop is asyncio.get_running_loop():
-                    await self.aclose()
-
-        response = asyncio.run(call())
+        response = asyncio.run(self.dispatch(method, path, body))
         return response.status, response.payload
 
     # ------------------------------------------------------------------
@@ -740,7 +685,7 @@ class ServiceApp:
     ) -> HttpResponse:
         """The shared compute protocol of ``/v1/solve`` and the replay
         route: content-addressed cache lookup, guarded execution under
-        the admission queue, cache fill, and the ok / 422 / 504 map.
+        admission control, cache fill, and the ok / 422 / 504 map.
 
         *work* produces the full result record; the canonical part
         (out-of-band keys stripped) is what the cache stores, and
@@ -937,12 +882,7 @@ class ServiceApp:
             if isinstance(body, dict)
             else self.timeout
         )
-        executor = BatchExecutor(
-            workers=self.batch_workers,
-            mode=self.batch_mode,
-            cache=self.cache,
-            timeout=timeout,
-        )
+        executor = BatchExecutor(cache=self.cache, timeout=timeout)
 
         def work() -> List[BatchResult]:
             return executor.run(queries)
@@ -992,7 +932,11 @@ class ServiceApp:
             "warmup": _field_optional_int(body, "warmup"),
             "threshold": _field_float(body, "threshold", 0.0),
             "steps": _field_optional_int(body, "steps"),
-            "backend": str(body.get("backend", "python")),
+            # Canonical name, as in _solve: aliases share a cache entry
+            # and unknown names answer 400 before any admission.
+            "backend": resolve_backend(
+                str(body.get("backend", "python"))
+            ).name,
             "tol_scale": _field_float(body, "tol_scale", 1e-2),
         }
         if params["measure"] not in ("average_degree", "affinity"):
@@ -1186,8 +1130,12 @@ class ServiceApp:
     async def start_server(
         self, host: str = "127.0.0.1", port: int = 8765
     ) -> asyncio.AbstractServer:
-        """Bind the HTTP shell; ``port=0`` picks an ephemeral port."""
+        """Bind the HTTP shell and start the loop-lag probe; ``port=0``
+        picks an ephemeral port."""
         from repro.service.http import serve_http
 
-        await self._ensure_started()
+        if self._lag_probe is None:
+            self._lag_probe = asyncio.get_running_loop().create_task(
+                self._probe_loop_lag()
+            )
         return await serve_http(self.handle, host, port)

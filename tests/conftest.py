@@ -4,14 +4,6 @@ from __future__ import annotations
 
 import random
 
-# Imported eagerly so the hypothesis pytest plugin's lazy import at
-# terminal summary finds it cached.  Importing it *there* triggers an
-# assertion-rewrite ast.parse at a moment when garbage collection of
-# orphaned event-loop coroutines can fire mid-compile, which CPython
-# 3.11 answers with "SystemError: AST constructor recursion depth
-# mismatch" — failing otherwise-green runs of test subsets that never
-# touch hypothesis themselves.
-import hypothesis  # noqa: F401
 import pytest
 
 from repro.graph.graph import Graph
@@ -24,6 +16,12 @@ def pytest_configure(config: pytest.Config) -> None:
         "excluded from the default tier — run with -m jit (or "
         '-m "jit or not jit" for everything)',
     )
+    # A leaked task, coroutine, file or socket fails the run instead of
+    # printing a warning nobody reads.
+    config.addinivalue_line(
+        "filterwarnings", "error::pytest.PytestUnraisableExceptionWarning"
+    )
+    config.addinivalue_line("filterwarnings", "error::ResourceWarning")
 
 
 def pytest_collection_modifyitems(

@@ -93,6 +93,8 @@ def _stop(proc):
     except subprocess.TimeoutExpired:  # pragma: no cover - hang guard
         proc.kill()
         proc.wait(timeout=10)
+    finally:
+        proc.stdout.close()
 
 
 def _graph_texts():
@@ -189,8 +191,9 @@ class TestTopology:
         _, base = cluster
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             _post(base, "/v1/solve", {"graph": "nope", "kind": "dcsad"})
-        assert excinfo.value.code == 404
         payload = json.loads(excinfo.value.read())
+        excinfo.value.close()
+        assert excinfo.value.code == 404
         assert "unknown graph" in payload["error"]
 
 
@@ -453,6 +456,7 @@ class TestSessions:
                 "/v1/stream/sessions/w9-zzz/events",
                 {"events": [{"t": 0, "u": "a", "v": "b", "w": 1.0}]},
             )
+        excinfo.value.close()
         assert excinfo.value.code == 404
 
 
@@ -533,6 +537,7 @@ class TestTeardown:
         finally:
             proc.send_signal(signal.SIGTERM)
             returncode = proc.wait(timeout=30)
+            proc.stdout.close()
         assert returncode == 0
         if os.path.isdir("/dev/shm"):
             assert glob.glob(f"/dev/shm/rp{proc.pid}_*") == []

@@ -346,6 +346,181 @@ class TestAdmissionControl:
         assert "Retry-After" in rejected.headers
         assert app.metrics.rejected == 1
 
+    @staticmethod
+    def _gate_solves(monkeypatch, block_k):
+        """Patch ``solve`` so the query with ``k == block_k`` blocks
+        until the returned *release* event is set; returns ``(started,
+        release, calls)`` — *calls* lists the ``k`` of every solve that
+        ran."""
+        import threading
+
+        import repro.service.app as app_module
+
+        real_solve = app_module.solve
+        started, release, calls = threading.Event(), threading.Event(), []
+
+        def gated_solve(request, prepared):
+            calls.append(request.k)
+            if request.k == block_k:
+                started.set()
+                release.wait(timeout=10.0)
+            return real_solve(request, prepared)
+
+        monkeypatch.setattr(app_module, "solve", gated_solve)
+        return started, release, calls
+
+    def test_deadline_while_waiting_skips_the_job_and_frees_its_slot(
+        self, app, monkeypatch
+    ):
+        started, release, calls = self._gate_solves(monkeypatch, block_k=2)
+        app.max_pending = 1
+
+        async def main():
+            # Both preps run first (FIFO), so k=2's solve takes the one
+            # pool thread and k=3's solve waits behind it.
+            first = asyncio.ensure_future(
+                app.dispatch(
+                    "POST", "/v1/solve", {"graph": "uploaded", "k": 2}
+                )
+            )
+            late = await asyncio.ensure_future(
+                app.dispatch(
+                    "POST",
+                    "/v1/solve",
+                    {"graph": "uploaded", "k": 3, "timeout": 0.2},
+                )
+            )
+            waiting = app.pending
+            # With max_pending=1 the bound is two admitted jobs: k=2's
+            # running solve plus this one, so it is only admitted if
+            # the skipped job gave its slot back.
+            third = asyncio.ensure_future(
+                app.dispatch(
+                    "POST", "/v1/solve", {"graph": "uploaded", "k": 4}
+                )
+            )
+            await asyncio.sleep(0.05)
+            release.set()
+            return late, waiting, await first, await third
+
+        late, waiting, first, third = asyncio.run(main())
+        assert started.is_set()
+        assert late.status == 504 and late.payload["status"] == "timeout"
+        assert waiting == 0
+        assert first.status == 200 and third.status == 200
+        assert calls == [2, 4]  # k=3's work never ran
+        assert app.pending == 0
+
+    def test_healthz_pending_counts_admitted_unstarted_jobs(
+        self, app, monkeypatch
+    ):
+        started, release, _ = self._gate_solves(monkeypatch, block_k=2)
+
+        async def main():
+            solves = [
+                asyncio.ensure_future(
+                    app.dispatch(
+                        "POST", "/v1/solve", {"graph": "uploaded", "k": k}
+                    )
+                )
+                for k in (2, 3)
+            ]
+            while not started.is_set():
+                await asyncio.sleep(0.01)
+            await asyncio.sleep(0.05)
+            busy = await app.dispatch("GET", "/healthz")
+            release.set()
+            statuses = [r.status for r in await asyncio.gather(*solves)]
+            idle = await app.dispatch("GET", "/healthz")
+            return busy, statuses, idle
+
+        busy, statuses, idle = asyncio.run(main())
+        assert busy.payload["pending"] == 1  # k=3 waits while k=2 runs
+        assert statuses == [200, 200]
+        assert idle.payload["pending"] == 0
+
+    def test_workers_bound_concurrent_solves(self, pair_texts, monkeypatch):
+        import threading
+
+        import repro.service.app as app_module
+
+        app = ServiceApp(scale=0.0, workers=2)
+        g1_text, g2_text, _, _ = pair_texts
+        app.request(
+            "POST", "/v1/graphs", {"name": "p", "g1": g1_text, "g2": g2_text}
+        )
+        real_solve = app_module.solve
+        lock = threading.Lock()
+        running, peak = [0], [0]
+
+        def slow_solve(request, prepared):
+            with lock:
+                running[0] += 1
+                peak[0] = max(peak[0], running[0])
+            try:
+                time.sleep(0.2)
+                return real_solve(request, prepared)
+            finally:
+                with lock:
+                    running[0] -= 1
+
+        monkeypatch.setattr(app_module, "solve", slow_solve)
+
+        async def main():
+            return await asyncio.gather(
+                *(
+                    app.dispatch("POST", "/v1/solve", {"graph": "p", "k": k})
+                    for k in (1, 2, 3, 4)
+                )
+            )
+
+        responses = asyncio.run(main())
+        assert [r.status for r in responses] == [200] * 4
+        assert peak[0] == 2
+
+    def test_admission_counts_survive_thread_contention(self):
+        """The admitted/started counters are shared by the loop, the
+        pool threads and 504 cancellations; a lost or doubled update
+        would leave them off zero once the pool drains."""
+        import sys
+        import threading
+
+        from repro.service.app import ServiceDeadlineError
+
+        app = ServiceApp(scale=0.0, workers=4, max_pending=1000)
+        gate = threading.Event()
+
+        def work():
+            gate.wait(timeout=10.0)
+            time.sleep(0.001)
+            return 7
+
+        async def main():
+            jobs = asyncio.gather(
+                *(
+                    app._submit(work, 0.01 if index % 3 == 0 else None)
+                    for index in range(400)
+                ),
+                return_exceptions=True,
+            )
+            # The first deadlines pass while the pool is gated: some of
+            # those jobs are running (abandoned), the rest are skipped.
+            await asyncio.sleep(0.2)
+            gate.set()
+            return await jobs
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            results = asyncio.run(asyncio.wait_for(main(), 60.0))
+        finally:
+            sys.setswitchinterval(interval)
+        app._pool.shutdown(wait=True)  # abandoned jobs finish first
+        answered = [r for r in results if r == 7]
+        late = [r for r in results if isinstance(r, ServiceDeadlineError)]
+        assert answered and late and len(answered) + len(late) == 400
+        assert (app._admitted, app._started, app.pending) == (0, 0, 0)
+
     def test_rejections_counted_in_metrics(self, app):
         app.metrics.rejected = 3
         _, body = app.request("GET", "/metrics")
@@ -493,6 +668,16 @@ class TestStreamReplayRoute:
             )[0]
             == 400
         )
+        # An unknown backend fails at admission, before the log is
+        # parsed or the cache consulted — as on /v1/solve.
+        misses = app.cache.misses
+        status, body = app.request(
+            "POST",
+            "/v1/stream/replay",
+            {"events": "0 a b 1.0\n", "backend": "nope"},
+        )
+        assert status == 400 and "nope" in body["error"]
+        assert app.cache.misses == misses
 
 
 # ----------------------------------------------------------------------
@@ -860,6 +1045,7 @@ class TestHttpShell:
                     urllib.request.urlopen(f"{base}/missing")
                     raise AssertionError("must 404")
                 except urllib.error.HTTPError as exc:
+                    exc.close()
                     not_found = exc.code
                 with urllib.request.urlopen(f"{base}/metrics") as r:
                     metrics = json.loads(r.read())
@@ -1059,9 +1245,12 @@ class _SlowExecutor:
 
 
 class TestSecondReviewHardening:
-    def test_backend_alias_shares_cache_and_canonical_bytes(self, app):
+    def test_backend_alias_shares_cache_and_canonical_bytes(
+        self, app, events_text
+    ):
         """'heap' is an alias of 'python': one cache entry, and the
-        response names the canonical backend either way."""
+        response names the canonical backend either way — on
+        /v1/solve and on /v1/stream/replay alike."""
         _, first = app.request(
             "POST", "/v1/solve", {"graph": "uploaded", "backend": "python"}
         )
@@ -1072,6 +1261,18 @@ class TestSecondReviewHardening:
         assert second["result"]["params"]["backend"] == "python"
         strip = lambda r: {k: v for k, v in r.items() if k != "timings"}
         assert strip(second["result"]) == strip(first["result"])
+
+        replay = {"events": events_text, "window": 3, "threshold": 1.0}
+        _, fresh = app.request(
+            "POST", "/v1/stream/replay", dict(replay, backend="python")
+        )
+        _, alias = app.request(
+            "POST", "/v1/stream/replay", dict(replay, backend="heap")
+        )
+        assert not fresh["cached"] and alias["cached"]
+        assert json.dumps(alias["result"], sort_keys=True) == json.dumps(
+            fresh["result"], sort_keys=True
+        )
 
     def test_upload_rejects_stringly_booleans(self, app, pair_texts):
         """'"false"' must not silently mean True (a flipped graph)."""
